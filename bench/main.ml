@@ -609,6 +609,7 @@ let bench_fault_engine () =
       mad_ns = s.Bench_stat.mad_ns;
       jobs;
       circuit_stats = stats;
+      minor_words = None;
     }
   in
   let policy ?pool ~words () =

@@ -806,19 +806,30 @@ let guard_factor name =
   else if Filename.check_suffix name "/analysis" then Some 2.0
   else None
 
+(* The allocation gate: flow and assign are fast because their inner
+   loops allocate nothing, and the minor words of a seeded call repeat
+   exactly, so a 1.25x bound on them is tight without being noisy —
+   a regression that timing noise would hide still fails here. *)
+let alloc_factor name =
+  if Filename.check_suffix name "/flow" || Filename.check_suffix name "/assign"
+  then Some 1.25
+  else None
+
 let bench_guard ~baseline entries =
   let key (e : Report.bench_entry) = (e.Report.entry_name, e.Report.jobs) in
   let base = List.map (fun e -> (key e, e)) baseline in
   let failures = ref 0 in
+  let fail fmt =
+    incr failures;
+    Printf.printf fmt
+  in
   List.iter
     (fun (e : Report.bench_entry) ->
-      match guard_factor e.Report.entry_name with
-      | None -> ()
-      | Some factor -> (
+      let name = e.Report.entry_name in
+      let time_gate = guard_factor name and alloc_gate = alloc_factor name in
+      if time_gate <> None || alloc_gate <> None then
         match List.assoc_opt (key e) base with
-        | None ->
-          Printf.printf "guard: %-24s no baseline entry, skipped\n"
-            e.Report.entry_name
+        | None -> Printf.printf "guard: %-24s no baseline entry, skipped\n" name
         | Some b ->
           let stats_ok =
             match (e.Report.circuit_stats, b.Report.circuit_stats) with
@@ -829,38 +840,50 @@ let bench_guard ~baseline entries =
             | _, None -> true (* pre-stats baseline: compare on faith *)
             | None, Some _ -> false
           in
-          if not stats_ok then begin
-            incr failures;
-            Printf.printf
-              "guard: %-24s FAILED: circuit shape differs from baseline\n"
-              e.Report.entry_name
-          end
+          if not stats_ok then
+            fail "guard: %-24s FAILED: circuit shape differs from baseline\n"
+              name
           else begin
-            (* a nonpositive baseline median can only come from a bogus
-               artefact (e.g. a --dry-run listing); the ratio would be
-               inf/nan and the gate meaningless — loading already
-               rejects it, this is the belt to that suspender *)
-            if b.Report.median_ns <= 0. then
-              raise
-                (Circuit.Error
-                   (Printf.sprintf
-                      "--against: baseline entry %S has median %g ns"
-                      b.Report.entry_name b.Report.median_ns));
-            let ratio = e.Report.median_ns /. b.Report.median_ns in
-            if ratio > factor then begin
-              incr failures;
-              Printf.printf
-                "guard: %-24s FAILED: %.3gms vs baseline %.3gms (%.2fx > \
-                 %.2fx)\n"
-                e.Report.entry_name
-                (e.Report.median_ns /. 1e6)
-                (b.Report.median_ns /. 1e6)
-                ratio factor
-            end
-            else
-              Printf.printf "guard: %-24s ok (%.2fx of baseline)\n"
-                e.Report.entry_name ratio
-          end))
+            (match time_gate with
+             | None -> ()
+             | Some factor ->
+               (* a nonpositive baseline median can only come from a bogus
+                  artefact (e.g. a --dry-run listing); the ratio would be
+                  inf/nan and the gate meaningless — loading already
+                  rejects it, this is the belt to that suspender *)
+               if b.Report.median_ns <= 0. then
+                 raise
+                   (Circuit.Error
+                      (Printf.sprintf
+                         "--against: baseline entry %S has median %g ns"
+                         b.Report.entry_name b.Report.median_ns));
+               let ratio = e.Report.median_ns /. b.Report.median_ns in
+               if ratio > factor then
+                 fail
+                   "guard: %-24s FAILED: %.3gms vs baseline %.3gms (%.2fx > \
+                    %.2fx)\n"
+                   name
+                   (e.Report.median_ns /. 1e6)
+                   (b.Report.median_ns /. 1e6)
+                   ratio factor
+               else
+                 Printf.printf "guard: %-24s ok (%.2fx of baseline)\n" name
+                   ratio);
+            match (alloc_gate, e.Report.minor_words, b.Report.minor_words) with
+            | Some factor, Some w, Some bw ->
+              if w > factor *. bw then
+                fail
+                  "guard: %-24s FAILED: %.0f minor words vs baseline %.0f \
+                   (> %.2fx)\n"
+                  name w bw factor
+              else
+                Printf.printf "guard: %-24s alloc ok (%.0f words, baseline %.0f)\n"
+                  name w bw
+            | Some _, _, None ->
+              Printf.printf "guard: %-24s no baseline words, alloc skipped\n"
+                name
+            | _ -> ()
+          end)
     entries;
   !failures
 

@@ -70,8 +70,12 @@ val constants :
   Dataflow.t ->
   Ppet_netlist.Circuit.t ->
   int array
-(** Whole-circuit least fixpoint of {!eval} (the schedule must come from
-    the circuit's partition view, whose vertex ids are node ids). *)
+(** Whole-circuit fixpoint of {!eval} (the schedule must come from the
+    circuit's partition view, whose vertex ids are node ids). The
+    transfer is not monotone — same-root cancellation lapses once a pin
+    turns constant — so values can oscillate around register loops; a
+    node whose value would change more than 8 times is pinned to
+    [Unknown], which is always sound and bounds the iteration. *)
 
 val initializable :
   ?pool:Ppet_parallel.Domain_pool.t ->

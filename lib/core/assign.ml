@@ -208,9 +208,10 @@ let run_hashed c g (clustering : Cluster.t) (p : Params.t) rng =
    Membership tests go through a vertex -> live-index [owner] array
    (clusters partition the vertices; a vertex is relabelled at most once
    beyond its initial assignment, when its cluster is absorbed), and
-   entering-net sets are deduplicated int arrays scored with a stamped
-   scratch over nets — score_merge becomes a pair of tight array sweeps
-   with no hashing and no allocation.
+   entering-net sets are deduplicated int arrays scored against a
+   per-step stamp of the growing partition's nets — scoring a candidate
+   is one tight sweep of its own array, with no hashing and no
+   allocation.
 
    One deliberate divergence from the hashed path, documented in
    DESIGN.md: when more than max_merge_candidates clusters are alive,
@@ -284,32 +285,19 @@ let run_flat csr c g (clustering : Cluster.t) (p : Params.t) rng =
     alive.(i) <- false;
     if not clusters.(i).Cluster.locked then decr alivec
   in
-  (* iota of merging o with gi, and entering nets the merge removes;
-     iota only grows as the sweep proceeds, so a candidate that cannot
-     fit under l_k is rejected without finishing its sweep *)
-  let exception Too_big in
-  let score o gi =
-    incr stamp;
-    let s = !stamp in
-    let allowance = p.Params.l_k - n_pis.(o) - n_pis.(gi) in
-    if allowance < 0 then raise Too_big;
-    let union = ref 0 in
-    let sweep arr len =
-      for t = 0 to len - 1 do
-        let e = Array.unsafe_get arr t in
-        let ow = Array.unsafe_get owner (Array.unsafe_get net_src e) in
-        if ow <> o && ow <> gi && Array.unsafe_get net_stamp e <> s then begin
-          Array.unsafe_set net_stamp e s;
-          incr union;
-          if !union > allowance then raise Too_big
-        end
-      done
-    in
-    sweep ent.(o) ent_len.(o);
-    sweep ent.(gi) ent_len.(gi);
-    let iota = !union + n_pis.(o) + n_pis.(gi) in
-    let removed = ent_len.(o) + ent_len.(gi) - !union in
-    (iota, removed)
+  (* Scoring a merge of o with gi: the union's entering nets are the
+     nets of ent(o) not sourced in gi, plus the nets of ent(gi) neither
+     in ent(o) nor sourced in o (no entering net is sourced in its own
+     cluster). One pass per greedy step stamps ent(o) and counts its
+     nets per source cluster in [hist], so each candidate costs one
+     sweep of its own ent(gi) and nothing else. *)
+  let hist = Array.make (max nl 1) 0 in
+  let hist_update o d =
+    let eo = ent.(o) in
+    for t = 0 to ent_len.(o) - 1 do
+      let ow = owner.(net_src.(eo.(t))) in
+      if ow >= 0 then hist.(ow) <- hist.(ow) + d
+    done
   in
   let merge o gi =
     for t = 0 to mem_len.(gi) - 1 do
@@ -425,29 +413,54 @@ let run_flat csr c g (clustering : Cluster.t) (p : Params.t) rng =
     end
   in
   let merges = ref 0 in
+  let scored = ref 0 in
   let partitions = ref [] in
+  let l_k = p.Params.l_k in
   while !head >= 0 do
     let oi = !head in
     unlink oi;
     let o_locked = clusters.(oi).Cluster.locked in
     let continue = ref true in
-    while (not o_locked) && !continue && ent_len.(oi) + n_pis.(oi) < p.Params.l_k
-    do
+    while (not o_locked) && !continue && ent_len.(oi) + n_pis.(oi) < l_k do
       let arr, len = candidates () in
+      scored := !scored + len;
+      incr stamp;
+      let s = !stamp in
+      let eo = ent.(oi) and lo = ent_len.(oi) in
+      for t = 0 to lo - 1 do
+        net_stamp.(eo.(t)) <- s
+      done;
+      hist_update oi 1;
       let bg = ref 0 and br = ref 0 and bi = ref (-1) in
       for t = 0 to len - 1 do
         let gi = arr.(t) in
-        match score oi gi with
-        | exception Too_big -> ()
-        | iota, removed ->
-          (* the sweep allowance guarantees iota <= l_k here *)
-          let gain = p.Params.l_k - iota in
+        (* the union's iota only grows during the sweep: stop once it
+           cannot fit under l_k, or cannot reach the best gain so far
+           (a tie on gain is swept in full for the [removed] tie-break) *)
+        let limit =
+          (if !bi < 0 then l_k else l_k - !bg) - n_pis.(oi) - n_pis.(gi)
+        in
+        let union = ref (lo - hist.(gi)) in
+        let eg = ent.(gi) and lg = ent_len.(gi) in
+        let j = ref 0 in
+        while !j < lg && !union <= limit do
+          let e = Array.unsafe_get eg !j in
+          if Array.unsafe_get net_stamp e <> s
+             && Array.unsafe_get owner (Array.unsafe_get net_src e) <> oi
+          then incr union;
+          incr j
+        done;
+        if !union <= limit then begin
+          let gain = l_k - (!union + n_pis.(oi) + n_pis.(gi)) in
+          let removed = lo + lg - !union in
           if !bi < 0 || gain > !bg || (gain = !bg && removed > !br) then begin
             bg := gain;
             br := removed;
             bi := gi
           end
+        end
       done;
+      hist_update oi (-1);
       if !bi < 0 then continue := false
       else begin
         merge oi !bi;
@@ -466,6 +479,7 @@ let run_flat csr c g (clustering : Cluster.t) (p : Params.t) rng =
       }
       :: !partitions
   done;
+  Ppet_obs.Obs.add Ppet_obs.Obs.Metric.Assign_candidates_scored !scored;
   finalize g !partitions !merges
 
 let run ?csr c g (clustering : Cluster.t) (p : Params.t) rng =

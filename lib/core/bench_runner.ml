@@ -94,7 +94,7 @@ let entry_names plan =
       List.map
         (fun (entry_name, jobs) ->
           { Report.entry_name; median_ns = 0.; mad_ns = 0.; jobs;
-            circuit_stats = Some stats })
+            circuit_stats = Some stats; minor_words = None })
         (phase_list plan name ~has_comb))
     plan.benchmarks
 
@@ -107,16 +107,27 @@ let run ?(progress = fun _ -> ()) plan =
       let c = circuit_of name in
       let g = To_graph.partition_view c in
       let stats = stats_of c g in
-      let measure ~jobs phase f =
+      (* [alloc] also records the minor words of one more call: the
+         count repeats exactly for seeded input, so --against gates it *)
+      let measure ?(alloc = false) ~jobs phase f =
         let entry_name = name ^ "/" ^ phase in
         progress entry_name;
         let s = Bench_stat.measure ~repeat:plan.repeat f in
+        let minor_words =
+          if not alloc then None
+          else begin
+            let w0 = Gc.minor_words () in
+            f ();
+            Some (Gc.minor_words () -. w0)
+          end
+        in
         {
           Report.entry_name;
           median_ns = s.Bench_stat.median_ns;
           mad_ns = s.Bench_stat.mad_ns;
           jobs;
           circuit_stats = Some stats;
+          minor_words;
         }
       in
       let generate =
@@ -138,7 +149,7 @@ let run ?(progress = fun _ -> ()) plan =
         | Params.Csr -> Some (Ppet_digraph.Csr.of_netgraph g)
       in
       let flow_entry =
-        measure ~jobs:1 "flow" (fun () ->
+        measure ~alloc:true ~jobs:1 "flow" (fun () ->
             ignore (Flow.saturate ?csr g params (Prng.create 1L)))
       in
       let flow = Flow.saturate ?csr g params (Prng.create 1L) in
@@ -148,7 +159,7 @@ let run ?(progress = fun _ -> ()) plan =
       in
       let clustering = Cluster.make_group ?csr c g sb flow params in
       let assign_entry =
-        measure ~jobs:1 "assign" (fun () ->
+        measure ~alloc:true ~jobs:1 "assign" (fun () ->
             ignore (Assign.run ?csr c g clustering params (Prng.create 1L)))
       in
       let r = Merced.run ~params c in

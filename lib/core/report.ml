@@ -92,6 +92,7 @@ type bench_entry = {
   mad_ns : float;
   jobs : int;
   circuit_stats : bench_circuit option;
+  minor_words : float option;
 }
 
 let bench_json ~name ~entries =
@@ -111,6 +112,9 @@ let bench_json ~name ~entries =
          if c.segments > 0 || c.largest_cluster > 0 then
            Printf.bprintf buf ", \"segments\": %d, \"largest_cluster\": %d"
              c.segments c.largest_cluster);
+      Option.iter
+        (Printf.bprintf buf ", \"minor_words\": %.0f")
+        e.minor_words;
       Buffer.add_string buf " }")
     entries;
   Buffer.add_string buf "\n  ]\n}\n";
@@ -185,6 +189,10 @@ let bench_entries_of_json text =
                mad_ns = float_of_string (until_delim line a0);
                jobs = int_of_string (until_delim line j0);
                circuit_stats = stats;
+               minor_words =
+                 Option.map
+                   (fun w0 -> float_of_string (until_delim line w0))
+                   (field_after line "\"minor_words\": ");
              }
              :: !entries
          | _ -> ());

@@ -51,6 +51,10 @@ type bench_entry = {
   circuit_stats : bench_circuit option;
       (** present on pipeline-sweep entries; [None] keeps the emitted
           JSON byte-identical to the pre-stats schema *)
+  minor_words : float option;
+      (** minor-heap words one call allocates — deterministic for seeded
+          input, so it can be gated tightly; present on the pipeline
+          sweep's flow and assign entries *)
 }
 (** One measured row of a BENCH_*.json artefact. *)
 

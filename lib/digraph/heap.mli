@@ -25,9 +25,14 @@ val decrease : t -> int -> float -> unit
     Raises [Invalid_argument] if [k] is absent or [p] is larger than the
     current priority. *)
 
-val insert_or_decrease : t -> int -> float -> unit
-(** Insert the key, or lower its priority if the new one is smaller;
-    a no-op when the key is present with a smaller or equal priority. *)
+val insert_or_decrease : t -> int -> float array -> unit
+(** [insert_or_decrease h k prio] inserts key [k] at priority [prio.(k)],
+    or lowers its priority to [prio.(k)] if that is smaller; a no-op
+    when the key is present with a smaller or equal priority. The
+    priority is read from the caller's key-indexed array (a Dijkstra
+    distance array) rather than passed as a float, which a call across
+    modules would box. Raises [Invalid_argument] if [k] is out of range
+    of the heap or of [prio]. *)
 
 val pop_min : t -> int * float
 (** Remove and return the (key, priority) pair with minimal priority.

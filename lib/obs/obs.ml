@@ -2,11 +2,13 @@ module Metric = struct
   type t =
     | Flow_iterations
     | Flow_tree_nets
+    | Flow_heap_pops
     | Bf_relaxations
     | Retime_required_kept
     | Retime_required_dropped
     | Clusters_formed
     | Partitions_formed
+    | Assign_candidates_scored
     | Faults_simulated
     | Fault_patterns
     | Fault_word_evals
@@ -19,11 +21,13 @@ module Metric = struct
   let name = function
     | Flow_iterations -> "flow.iterations"
     | Flow_tree_nets -> "flow.tree_nets"
+    | Flow_heap_pops -> "flow.heap_pops"
     | Bf_relaxations -> "retime.bf_relaxations"
     | Retime_required_kept -> "retime.required_kept"
     | Retime_required_dropped -> "retime.required_dropped"
     | Clusters_formed -> "cluster.clusters"
     | Partitions_formed -> "assign.partitions"
+    | Assign_candidates_scored -> "assign.candidates_scored"
     | Faults_simulated -> "fault.faults"
     | Fault_patterns -> "fault.patterns"
     | Fault_word_evals -> "fault.word_evals"
@@ -35,9 +39,9 @@ module Metric = struct
 
   let all =
     [
-      Flow_iterations; Flow_tree_nets; Bf_relaxations; Retime_required_kept;
-      Retime_required_dropped; Clusters_formed; Partitions_formed;
-      Faults_simulated; Fault_patterns; Fault_word_evals; Campaign_circuits;
+      Flow_iterations; Flow_tree_nets; Flow_heap_pops; Bf_relaxations;
+      Retime_required_kept; Retime_required_dropped; Clusters_formed;
+      Partitions_formed; Assign_candidates_scored; Faults_simulated; Fault_patterns; Fault_word_evals; Campaign_circuits;
       Lint_rules_fired; Lint_findings;
       Pool_dispatches; Pool_busy_ns;
     ]

@@ -16,12 +16,14 @@
 module Metric : sig
   type t =
     | Flow_iterations        (** shortest-path trees injected by [Flow.saturate] *)
-    | Flow_tree_nets         (** nets relaxed across all injected trees *)
+    | Flow_tree_nets         (** tree nets, summed over the injected trees *)
+    | Flow_heap_pops         (** Dijkstra heap pops, summed over the trees *)
     | Bf_relaxations         (** Bellman–Ford relax steps in [Retime.solve] *)
     | Retime_required_kept   (** register requirements retained by the solver *)
     | Retime_required_dropped(** requirements dropped on over-constrained loops *)
     | Clusters_formed        (** clusters out of [Cluster.make_group] *)
     | Partitions_formed      (** partitions out of [Assign.run] *)
+    | Assign_candidates_scored (** merge candidates [Assign.run] scored *)
     | Faults_simulated       (** faults fed to [Fault_engine.Batch.run] *)
     | Fault_patterns         (** test patterns (words x batches) per batch run *)
     | Fault_word_evals       (** gate-word evaluations a batch run performed *)

@@ -128,6 +128,33 @@ let test_fixture_boundary_roots_stay_independent () =
   Alcotest.(check int) "global fixpoint proves x = 1" Ternary.one
     constants.(x)
 
+(* Two of the seventeen profiles make the ternary transfer oscillate
+   around register loops (same-root cancellation lapses once a pin turns
+   constant); the solve used to spin forever on them. It must return,
+   pooled and serial alike, and every constant it reports must be stable
+   under one more transfer — a pinned node reads Unknown instead. *)
+let test_constants_terminate_on_oscillating_profiles () =
+  List.iter
+    (fun name ->
+      let c = Ppet_netlist.Benchmarks.circuit name in
+      let sched = sched_of c in
+      let constants = Ternary.constants sched c in
+      let r = Ternary.roots c in
+      let get v = constants.(v) in
+      Array.iteri
+        (fun v x ->
+          if x <> Ternary.unknown && Ternary.eval c r get v <> x then
+            Alcotest.failf "%s: node %d constant %d is not a fixpoint" name v
+              x)
+        constants;
+      let pooled =
+        Domain_pool.with_pool ~jobs:2 (fun pool ->
+            Ternary.constants ~pool sched c)
+      in
+      Alcotest.(check bool) (name ^ ": pooled = serial") true
+        (pooled = constants))
+    [ "s15850.1"; "s38417" ]
+
 (* ------------------------------------------------------------------ *)
 (* scoap spot checks                                                   *)
 
@@ -312,6 +339,8 @@ let suite =
     Alcotest.test_case "fixture: X-dominated DFF" `Quick test_fixture_x_dff;
     Alcotest.test_case "fixture: boundary roots independent" `Quick
       test_fixture_boundary_roots_stay_independent;
+    Alcotest.test_case "constants terminate on s15850.1 and s38417" `Quick
+      test_constants_terminate_on_oscillating_profiles;
     Alcotest.test_case "scoap basics" `Quick test_scoap_basics;
     QCheck_alcotest.to_alcotest prop_untestable_undetected;
     QCheck_alcotest.to_alcotest prop_parallel_solve_deterministic;

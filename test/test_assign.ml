@@ -8,6 +8,9 @@ module To_graph = Ppet_netlist.To_graph
 module Scc_budget = Ppet_retiming.Scc_budget
 module Generator = Ppet_netlist.Generator
 module S27 = Ppet_netlist.S27
+module Benchmarks = Ppet_netlist.Benchmarks
+module Csr = Ppet_digraph.Csr
+module Merced = Ppet_core.Merced
 
 let run_pipeline ?(l_k = 3) c =
   let g = To_graph.partition_view c in
@@ -110,6 +113,50 @@ let prop_valid_partitions =
            (fun p -> p.Assign.oversize || p.Assign.input_count <= l_k)
            a.Assign.partitions)
 
+(* Goldens pinning the partitions bit for bit: a digest of the cut nets
+   and the partition iotas, recorded before the flow kernel and the
+   assign scoring were rewritten for speed. Any change to tie-breaking
+   in the Dijkstra heap, the PRNG stream or the merge choice moves them. *)
+let digest (a : Assign.t) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let iotas =
+    List.map (fun (p : Assign.partition) -> p.Assign.input_count)
+      a.Assign.partitions
+  in
+  Digest.to_hex (Digest.string (ints a.Assign.cut_nets ^ ";" ^ ints iotas))
+
+let test_golden_partitions () =
+  List.iter
+    (fun (name, expected, cuts) ->
+      let r = Merced.run ~params:Params.default (Benchmarks.circuit name) in
+      let a = r.Merced.assignment in
+      Alcotest.(check int) (name ^ " cut nets") cuts
+        (List.length a.Assign.cut_nets);
+      Alcotest.(check string) (name ^ " digest") expected (digest a))
+    [
+      ("s5378", "6fee7446be3a8060826121bebb4202ea", 693);
+      ("s9234.1", "419ac803125e6fc0dc659cd0e5c9b20f", 1643);
+    ]
+
+(* s1423 forms 355 clusters: at a cap of 8 candidates the greedy steps
+   go through all three candidate paths — pool sampling far above the
+   cap, the partial Fisher-Yates just above it, the full list below *)
+let test_golden_small_cap () =
+  let c = Benchmarks.circuit "s1423" in
+  let params = { Params.default with Params.max_merge_candidates = 8 } in
+  let g = To_graph.partition_view c in
+  let csr = Csr.of_netgraph g in
+  let sb = Scc_budget.create c g in
+  let rng = Prng.create params.Params.seed in
+  let flow = Flow.saturate ~csr g params rng in
+  let clustering = Cluster.make_group ~csr c g sb flow params in
+  let a = Assign.run ~csr c g clustering params rng in
+  Alcotest.(check int) "clusters" 355 (List.length clustering.Cluster.clusters);
+  Alcotest.(check int) "merges" 304 a.Assign.merges;
+  Alcotest.(check int) "partitions" 51 (List.length a.Assign.partitions);
+  Alcotest.(check string) "digest" "4c6ce88c9920998173416d6380716c07"
+    (digest a)
+
 let suite =
   [
     Alcotest.test_case "partitions cover V once" `Quick test_partitions_cover;
@@ -119,5 +166,9 @@ let suite =
     Alcotest.test_case "cut nets cross partitions" `Quick test_cut_nets_consistent;
     Alcotest.test_case "merging never adds cuts" `Quick test_merging_never_hurts_cuts;
     Alcotest.test_case "paper worked example shape" `Quick test_paper_example_shape;
+    Alcotest.test_case "golden partitions (s5378, s9234.1)" `Quick
+      test_golden_partitions;
+    Alcotest.test_case "golden assign at 8 candidates (s1423)" `Quick
+      test_golden_small_cap;
     QCheck_alcotest.to_alcotest prop_valid_partitions;
   ]

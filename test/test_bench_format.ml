@@ -143,9 +143,9 @@ module Report = Ppet_core.Report
 let bare_entries =
   [
     { Report.entry_name = "a/flow"; median_ns = 1.5; mad_ns = 0.5; jobs = 1;
-      circuit_stats = None };
+      circuit_stats = None; minor_words = None };
     { Report.entry_name = "a/fault_sim"; median_ns = 2.0; mad_ns = 0.0;
-      jobs = 4; circuit_stats = None };
+      jobs = 4; circuit_stats = None; minor_words = None };
   ]
 
 let stats_entries =
@@ -156,9 +156,16 @@ let stats_entries =
   in
   [
     { Report.entry_name = "s27/flow"; median_ns = 1.5; mad_ns = 0.5; jobs = 1;
-      circuit_stats = stats };
+      circuit_stats = stats; minor_words = None };
     { Report.entry_name = "s27/retime"; median_ns = 250.0; mad_ns = 10.0;
-      jobs = 1; circuit_stats = stats };
+      jobs = 1; circuit_stats = stats; minor_words = None };
+  ]
+
+(* the pipeline sweep's flow/assign rows also carry their minor words *)
+let alloc_entries =
+  [
+    { Report.entry_name = "s27/assign"; median_ns = 8.0; mad_ns = 1.0;
+      jobs = 1; circuit_stats = None; minor_words = Some 12345.0 };
   ]
 
 let test_bench_json_schema () =
@@ -180,6 +187,14 @@ let test_bench_json_schema_stats () =
      \"gates\": 120, \"dffs\": 17, \"edges\": 256 }\n  ]\n}\n"
     json
 
+let test_bench_json_schema_alloc () =
+  let json = Report.bench_json ~name:"pipeline" ~entries:alloc_entries in
+  Alcotest.(check string) "alloc schema is stable"
+    "{\n  \"name\": \"pipeline\",\n  \"entries\": [\n    { \"name\": \
+     \"s27/assign\", \"median_ns\": 8, \"mad_ns\": 1, \"jobs\": 1, \
+     \"minor_words\": 12345 }\n  ]\n}\n"
+    json
+
 let test_bench_json_read_back () =
   List.iter
     (fun entries ->
@@ -195,9 +210,11 @@ let test_bench_json_read_back () =
           Alcotest.(check (float 1e-9)) "mad" a.Report.mad_ns b.Report.mad_ns;
           Alcotest.(check int) "jobs" a.Report.jobs b.Report.jobs;
           Alcotest.(check bool) "stats" true
-            (a.Report.circuit_stats = b.Report.circuit_stats))
+            (a.Report.circuit_stats = b.Report.circuit_stats);
+          Alcotest.(check bool) "minor words" true
+            (a.Report.minor_words = b.Report.minor_words))
         entries back)
-    [ bare_entries; stats_entries ]
+    [ bare_entries; stats_entries; alloc_entries ]
 
 let suite =
   [
@@ -217,6 +234,8 @@ let suite =
     Alcotest.test_case "BENCH json bare schema" `Quick test_bench_json_schema;
     Alcotest.test_case "BENCH json stats schema" `Quick
       test_bench_json_schema_stats;
+    Alcotest.test_case "BENCH json minor-words schema" `Quick
+      test_bench_json_schema_alloc;
     Alcotest.test_case "BENCH json read-back" `Quick
       test_bench_json_read_back;
     QCheck_alcotest.to_alcotest prop_roundtrip;

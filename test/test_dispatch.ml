@@ -19,6 +19,7 @@ let entry name ~jobs ~median stats =
     mad_ns = 0.0;
     jobs;
     circuit_stats = Some stats;
+    minor_words = None;
   }
 
 (* A sweep whose medians are an exact linear function of the stats, over

@@ -4,6 +4,8 @@ module Netgraph = Ppet_digraph.Netgraph
 module Prng = Ppet_digraph.Prng
 module To_graph = Ppet_netlist.To_graph
 module S27 = Ppet_netlist.S27
+module Csr = Ppet_digraph.Csr
+module Generator = Ppet_netlist.Generator
 
 let params = { Params.default with Params.l_k = 3 }
 
@@ -94,6 +96,33 @@ let test_invalid_params () =
        false
      with Invalid_argument _ -> true)
 
+(* The flat kernel (CSR rows, allocation-free Dijkstra, reached-set
+   resets) against the Netgraph-query path: the same trees in the same
+   order, so distance and flow agree to the bit, and visits and the
+   tree count exactly. Ties are everywhere at the all-1.0 start, so any
+   difference in relaxation order between the two paths shows here
+   (both share the heap, whose tie-breaking the assign goldens pin). *)
+let prop_csr_matches_netgraph =
+  QCheck.Test.make ~name:"csr saturate = netgraph saturate (bit-equal)"
+    ~count:40
+    QCheck.(pair (int_bound 100_000) (int_range 1 20))
+    (fun (seed, min_visit) ->
+      let c =
+        Generator.small_random ~seed:(Int64.of_int seed)
+          ~n_pi:(2 + (seed mod 5)) ~n_dff:(seed mod 9)
+          ~n_gates:(10 + (seed mod 80))
+      in
+      let g = To_graph.partition_view c in
+      let p = { params with Params.min_visit } in
+      let rng_seed = Int64.of_int (seed * 7) in
+      let a = Flow.saturate g p (Prng.create rng_seed) in
+      let b = Flow.saturate ~csr:(Csr.of_netgraph g) g p (Prng.create rng_seed) in
+      let bits r = Array.map Int64.bits_of_float r in
+      bits a.Flow.distance = bits b.Flow.distance
+      && bits a.Flow.flow = bits b.Flow.flow
+      && a.Flow.visits = b.Flow.visits
+      && a.Flow.iterations = b.Flow.iterations)
+
 let suite =
   [
     Alcotest.test_case "every vertex sampled" `Quick test_all_visited;
@@ -105,4 +134,5 @@ let suite =
     Alcotest.test_case "iteration cap" `Quick test_max_iterations_cap;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "invalid params rejected" `Quick test_invalid_params;
+    QCheck_alcotest.to_alcotest prop_csr_matches_netgraph;
   ]

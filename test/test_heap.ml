@@ -58,9 +58,14 @@ let test_mem_priority () =
 
 let test_insert_or_decrease () =
   let h = Heap.create 5 in
-  Heap.insert_or_decrease h 1 5.0;
-  Heap.insert_or_decrease h 1 3.0;
-  Heap.insert_or_decrease h 1 9.0;
+  let prio = Array.make 5 0.0 in
+  let offer p =
+    prio.(1) <- p;
+    Heap.insert_or_decrease h 1 prio
+  in
+  offer 5.0;
+  offer 3.0;
+  offer 9.0;
   Alcotest.(check (float 1e-9)) "kept min" 3.0 (Heap.priority h 1)
 
 let test_clear_reusable () =
